@@ -1,17 +1,20 @@
-"""Backend speed — the fused ``least_fast`` inner loop vs the reference.
+"""Backend speed — the fused dense LEAST inner loop vs the unfused oracle.
 
 Regenerates ``BENCH_backend.json``: the same seeded ER-2 problems at
-d ∈ {128, 512, 2048} solved twice, once with the reference ``"least"``
-backend and once with the fused ``"least_fast"`` backend (numba-JIT when the
-package is importable, buffered numpy otherwise — the artifact records which
-via ``jit_backend``).  Both arms run under ``inner_convergence_tol = 0.0`` so
-they execute the *same number of inner iterations* and the wall-clock ratio
-is a pure per-iteration cost comparison; JIT compilation happens once in
+d ∈ {128, 512, 2048} solved twice, once with the unfused reference loop of
+``benchmarks/least_oracle.py`` and once with the ``"least"`` backend, whose
+fused loop runs numba-JIT kernels when the package is importable and
+buffered numpy otherwise (the artifact records which via ``jit_backend``).
+Both arms run under ``inner_convergence_tol = 0.0`` so they execute the
+*same number of inner iterations* and the wall-clock ratio is a pure
+per-iteration cost comparison; JIT compilation happens once in
 ``warmup_jit()`` before any timing.
 
 Parity is asserted in-run at every size: the two weight matrices must agree
-within tight tolerance (bitwise on the numpy fallback), objectives must
+within tight tolerance (bitwise on the numpy kernels), objectives must
 match relatively, and the in-loop-thresholded edge sets must be identical.
+Each row also records both arms' edge counts (``ref_n_edges`` /
+``fast_n_edges``), so the artifact shows how much graph the parity compared.
 ``benchmarks/baselines.json`` gates ``parity_ok`` and ``speedup_at_512`` —
 the latter with a ≥ 3× floor conditional on ``numba_available`` (the CI
 runners install numba; this container does not) next to an unconditional
@@ -37,8 +40,9 @@ if __package__ in (None, ""):  # direct `python benchmarks/bench_backend_speed.p
 import numpy as np
 
 from benchmarks.helpers import append_bench_history, make_problem, print_table
+from benchmarks.least_oracle import ReferenceLEAST
 from repro.core.backend import make_solver
-from repro.core.least_fast import numba_available, warmup_jit
+from repro.core.least import LEASTConfig, numba_available, warmup_jit
 from repro.utils.timer import Timer
 
 #: Per-size scenario: sample count and iteration budget shrink as d grows so
@@ -62,21 +66,28 @@ N_REPEATS = 2
 OUTPUT_PATH = _REPO_ROOT / "BENCH_backend.json"
 
 
-def _solve(solver_name: str, data: np.ndarray, config: dict, seed: int):
+def _fit_reference(data: np.ndarray, config: dict, seed: int):
+    return ReferenceLEAST(LEASTConfig(**config)).fit(data, seed=seed)
+
+
+def _fit_least(data: np.ndarray, config: dict, seed: int):
+    return make_solver("least", **config).fit(data, rng=seed)
+
+
+def _solve(fit, data: np.ndarray, config: dict, seed: int):
     """One timed solve; returns (result, best-of-N seconds)."""
     repeats = N_REPEATS if data.shape[1] < 2048 else 1
     best = float("inf")
     result = None
     for _ in range(repeats):
-        backend = make_solver(solver_name, **config)
         with Timer() as timer:
-            result = backend.fit(data, rng=seed)
+            result = fit(data, config, seed)
         best = min(best, timer.elapsed)
     return result, best
 
 
 def run_size(n_nodes: int, scenario: dict) -> dict:
-    """Reference vs fast on one seeded problem; parity asserted."""
+    """Oracle vs fused loop on one seeded problem; parity asserted."""
     _, data = make_problem(
         "ER-2", n_nodes, "gaussian", seed=n_nodes,
         samples_per_node=scenario["samples_per_node"],
@@ -87,8 +98,8 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
         max_outer_iterations=scenario["outer"],
         max_inner_iterations=scenario["inner"],
     )
-    ref, ref_seconds = _solve("least", data, config, seed=7)
-    fast, fast_seconds = _solve("least_fast", data, config, seed=7)
+    ref, ref_seconds = _solve(_fit_reference, data, config, seed=7)
+    fast, fast_seconds = _solve(_fit_least, data, config, seed=7)
 
     max_abs_diff = float(np.abs(ref.weights - fast.weights).max())
     ref_objective = float(ref.log.last("loss", 0.0))
@@ -105,7 +116,7 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
     )
 
     # Parity, asserted every run: tight on weights (bitwise on the numpy
-    # fallback, ulp-drift headroom for the reordered numba kernels), exact on
+    # kernels, ulp-drift headroom for the reordered numba kernels), exact on
     # the in-loop-thresholded edge set.
     assert iterations_match, (
         f"d={n_nodes}: iteration counts diverged "
@@ -122,6 +133,8 @@ def run_size(n_nodes: int, scenario: dict) -> dict:
         "n_samples": int(data.shape[0]),
         "batch_size": scenario["batch_size"],
         "n_inner_iterations": int(ref.n_inner_iterations),
+        "ref_n_edges": int(np.count_nonzero(ref.weights)),
+        "fast_n_edges": fast.n_edges,
         "ref_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
         "speedup": ref_seconds / max(fast_seconds, 1e-9),
@@ -155,12 +168,13 @@ def main() -> dict:
     }
 
     print_table(
-        f"repro.core.least_fast vs least ({results['jit_backend']} kernels)",
-        ["d", "inner iters", "ref", "fast", "speedup", "max |dW|"],
+        f"fused least ({results['jit_backend']} kernels) vs the unfused oracle",
+        ["d", "inner iters", "edges", "ref", "fast", "speedup", "max |dW|"],
         [
             [
                 row["n_nodes"],
                 row["n_inner_iterations"],
+                row["fast_n_edges"],
                 f"{row['ref_seconds']:.3f}s",
                 f"{row['fast_seconds']:.3f}s",
                 f"{row['speedup']:.2f}x",

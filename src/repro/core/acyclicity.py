@@ -21,10 +21,10 @@ The gradient is obtained by reverse-mode differentiation of the iteration
 matrices are masked to the support of ``W``: entries outside the support never
 influence ``∇_W δ = 2 ∇_S δ ∘ W``, so the backward pass also stays sparse.
 
-Two code paths are provided with identical semantics: a dense numpy path
-(used by :class:`repro.core.least.LEAST`, the analog of the paper's LEAST-TF)
-and a CSR-sparse path (used by :class:`repro.core.least_sparse.SparseLEAST`,
-the analog of LEAST-SP).
+Two code paths are provided with identical semantics: a dense numpy path over
+preallocated buffers (used by :class:`repro.core.least.LEAST`, the analog of
+the paper's LEAST-TF) and a CSR-sparse path (used by
+:class:`repro.core.least_sparse.SparseLEAST`, the analog of LEAST-SP).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.exceptions import ValidationError
 from repro.utils.validation import check_positive, check_square_matrix, check_unit_interval
 
 __all__ = [
+    "DenseBoundWorkspace",
     "SpectralAcyclicityBound",
     "spectral_bound",
     "spectral_bound_gradient",
@@ -87,35 +88,8 @@ def _safe_divide(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Dense forward / backward
-# ---------------------------------------------------------------------------
-
-
-def _forward_dense(s0: np.ndarray, k: int, alpha: float) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Run the forward iteration on a dense non-negative matrix.
-
-    Returns the bound value, the list ``[S^(0), ..., S^(k)]`` and the list of
-    balance vectors ``[b^(0), ..., b^(k)]`` needed by the backward pass.
-    """
-    matrices = [s0]
-    balances: list[np.ndarray] = []
-    current = s0
-    for j in range(k + 1):
-        row_sums = current.sum(axis=1)
-        col_sums = current.sum(axis=0)
-        balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
-        balances.append(balance)
-        if j <= k - 1:
-            inverse_balance = _safe_divide(np.ones_like(balance), balance)
-            current = (inverse_balance[:, None] * current) * balance[None, :]
-            matrices.append(current)
-    bound = float(balances[-1].sum())
-    return bound, matrices, balances
-
-
 def _xy_vectors(
-    matrix: np.ndarray | sp.spmatrix, alpha: float
+    row_sums: np.ndarray, col_sums: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute the x and y vectors of Lemma 3 for one level of the iteration.
 
@@ -124,12 +98,6 @@ def _xy_vectors(
     respectively.  Positions with zero row or column sums get zero, which is a
     valid subgradient choice at those (non-differentiable) points.
     """
-    if sp.issparse(matrix):
-        row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-        col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    else:
-        row_sums = matrix.sum(axis=1)
-        col_sums = matrix.sum(axis=0)
     ratio_cr = _safe_divide(col_sums, row_sums)
     ratio_rc = _safe_divide(row_sums, col_sums)
     x = alpha * _safe_power(ratio_cr, 1.0 - alpha)
@@ -137,42 +105,106 @@ def _xy_vectors(
     return x, y
 
 
-def _backward_dense(
-    matrices: list[np.ndarray],
-    balances: list[np.ndarray],
-    mask: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Reverse-mode differentiation of the dense forward pass.
+# ---------------------------------------------------------------------------
+# Dense forward / backward over preallocated buffers
+# ---------------------------------------------------------------------------
 
-    Implements Lemmas 3–5: the gradient is accumulated only on ``mask`` (the
-    support of W), which is exact because off-support entries are multiplied
-    by ``W = 0`` when forming ``∇_W δ``.
+
+class DenseBoundWorkspace:
+    """Buffers one ``d``-node dense bound evaluation writes into.
+
+    ``smats`` holds the balanced matrices ``S^(0..k)``, ``rsums``/``csums``/
+    ``balances`` the per-level row sums, column sums and balance vectors,
+    ``grad_s`` the backward accumulation ``∇_S δ``, ``cgrad`` the returned
+    ``∇_W δ``, and ``scratch``/``mask`` element-wise temporaries.  A caller
+    that evaluates the bound many times on same-sized matrices (the dense
+    LEAST inner loop) keeps one workspace and passes it to every call, so no
+    ``d × d`` array is allocated per evaluation.
     """
-    k = len(matrices) - 1
-    x_k, y_k = _xy_vectors(matrices[k], alpha)
-    gradient = (x_k[:, None] + y_k[None, :]) * mask
 
-    for j in range(k, 0, -1):
-        previous = matrices[j - 1]
-        balance = balances[j - 1]
-        x_prev, y_prev = _xy_vectors(previous, alpha)
+    def __init__(self, d: int, k: int) -> None:
+        self.d = d
+        self.k = k
+        levels = k + 1
+        self.smats = np.empty((levels, d, d))
+        self.rsums = np.empty((levels, d))
+        self.csums = np.empty((levels, d))
+        self.balances = np.empty((levels, d))
+        self.grad_s = np.empty((d, d))
+        self.cgrad = np.empty((d, d))
+        self.scratch = np.empty((d, d))
+        self.mask = np.empty((d, d), dtype=bool)
 
+
+def _forward_buffered(weights: np.ndarray, workspace: DenseBoundWorkspace, alpha: float) -> float:
+    """Forward iteration on ``S^(0) = W ∘ W``; returns the bound value.
+
+    Fills ``workspace.smats`` with ``S^(0..k)`` and the per-level row sums,
+    column sums and balance vectors the backward pass reads.
+    """
+    k = workspace.k
+    smats, rsums, csums, balances = (
+        workspace.smats, workspace.rsums, workspace.csums, workspace.balances
+    )
+    np.multiply(weights, weights, out=smats[0])
+    for j in range(k + 1):
+        smats[j].sum(axis=1, out=rsums[j])
+        smats[j].sum(axis=0, out=csums[j])
+        np.multiply(
+            _safe_power(rsums[j], alpha), _safe_power(csums[j], 1.0 - alpha), out=balances[j]
+        )
+        if j < k:
+            inverse_balance = _safe_divide(np.ones_like(balances[j]), balances[j])
+            np.multiply(smats[j], inverse_balance[:, None], out=smats[j + 1])
+            smats[j + 1] *= balances[j][None, :]
+    return float(balances[k].sum())
+
+
+def _backward_buffered(weights: np.ndarray, workspace: DenseBoundWorkspace, alpha: float) -> np.ndarray:
+    """Reverse-mode pass after :func:`_forward_buffered`; returns
+    ``workspace.cgrad`` holding ``∇_W δ``.
+
+    Implements Lemmas 3–5: the gradient is accumulated only on the support
+    of W, which is exact because off-support entries are multiplied by
+    ``W = 0`` when forming ``∇_W δ``.
+    """
+    k = workspace.k
+    smats, rsums, csums, balances = (
+        workspace.smats, workspace.rsums, workspace.csums, workspace.balances
+    )
+    gradient, scratch, mask = workspace.grad_s, workspace.scratch, workspace.mask
+    np.not_equal(weights, 0.0, out=mask)
+
+    x_k, y_k = _xy_vectors(rsums[k], csums[k], alpha)
+    np.add(x_k[:, None], y_k[None, :], out=gradient)
+    gradient *= mask
+
+    for level in range(k - 1, -1, -1):
+        balance = balances[level]
+        x_prev, y_prev = _xy_vectors(rsums[level], csums[level], alpha)
         inverse_balance = _safe_divide(np.ones_like(balance), balance)
         inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
 
-        # z[i]: total effect of b^{(j-1)}[i] on the bound through S^{(j)} (Eq. 7).
-        scaled = gradient * previous * balance[None, :]
-        z = -scaled.sum(axis=1) * inverse_balance_sq
-        z += (inverse_balance[:, None] * gradient * previous).sum(axis=0)
+        # z[i]: total effect of b^{(level)}[i] on the bound through
+        # S^{(level+1)} (Eq. 7).
+        np.multiply(gradient, smats[level], out=scratch)
+        scratch *= balance[None, :]
+        z = -scratch.sum(axis=1) * inverse_balance_sq
+        np.multiply(gradient, inverse_balance[:, None], out=scratch)
+        scratch *= smats[level]
+        z += scratch.sum(axis=0)
 
-        gradient = (
-            inverse_balance[:, None] * gradient * balance[None, :]
-            + (x_prev * z)[:, None] * mask
-            + (y_prev * z)[None, :] * mask
-        )
-        gradient = gradient * mask
-    return gradient
+        gradient *= inverse_balance[:, None]
+        gradient *= balance[None, :]
+        np.multiply(mask, (x_prev * z)[:, None], out=scratch)
+        gradient += scratch
+        np.multiply(mask, (y_prev * z)[None, :], out=scratch)
+        gradient += scratch
+        gradient *= mask
+
+    np.multiply(gradient, 2.0, out=workspace.cgrad)
+    workspace.cgrad *= weights
+    return workspace.cgrad
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +219,20 @@ def _scale_rows_cols(matrix: sp.csr_matrix, row_scale: np.ndarray, col_scale: np
     return result.tocsr()
 
 
+def _sparse_sums(matrix: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of a sparse matrix as flat arrays."""
+    return np.asarray(matrix.sum(axis=1)).ravel(), np.asarray(matrix.sum(axis=0)).ravel()
+
+
 def _forward_sparse(
     s0: sp.csr_matrix, k: int, alpha: float
 ) -> tuple[float, list[sp.csr_matrix], list[np.ndarray]]:
-    """Sparse counterpart of :func:`_forward_dense` (CSR matrices throughout)."""
+    """Sparse counterpart of :func:`_forward_buffered` (CSR matrices throughout)."""
     matrices = [s0]
     balances: list[np.ndarray] = []
     current = s0
     for j in range(k + 1):
-        row_sums = np.asarray(current.sum(axis=1)).ravel()
-        col_sums = np.asarray(current.sum(axis=0)).ravel()
+        row_sums, col_sums = _sparse_sums(current)
         balance = _safe_power(row_sums, alpha) * _safe_power(col_sums, 1.0 - alpha)
         balances.append(balance)
         if j <= k - 1:
@@ -218,13 +254,13 @@ def _backward_sparse(
     mask_coo = mask.tocoo()
     rows, cols = mask_coo.row, mask_coo.col
 
-    x_k, y_k = _xy_vectors(matrices[k], alpha)
+    x_k, y_k = _xy_vectors(*_sparse_sums(matrices[k]), alpha)
     gradient_data = x_k[rows] + y_k[cols]
 
     for j in range(k, 0, -1):
         previous = matrices[j - 1]
         balance = balances[j - 1]
-        x_prev, y_prev = _xy_vectors(previous, alpha)
+        x_prev, y_prev = _xy_vectors(*_sparse_sums(previous), alpha)
 
         inverse_balance = _safe_divide(np.ones_like(balance), balance)
         inverse_balance_sq = _safe_divide(np.ones_like(balance), balance**2)
@@ -277,23 +313,30 @@ class SpectralAcyclicityBound:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         check_unit_interval(self.alpha, "alpha")
 
-    def value(self, weights) -> float:
-        """Return the bound ``δ^(k)(W)``; zero iff (numerically) acyclic."""
+    def value(self, weights, workspace: DenseBoundWorkspace | None = None) -> float:
+        """Return the bound ``δ^(k)(W)``; zero iff (numerically) acyclic.
+
+        ``workspace`` optionally supplies the buffers of a dense evaluation;
+        sparse ``weights`` ignore it.
+        """
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
             s0 = weights.multiply(weights).tocsr()
             bound, _, _ = _forward_sparse(s0, self.k, self.alpha)
-        else:
-            s0 = np.asarray(weights, dtype=float) ** 2
-            bound, _, _ = _forward_dense(s0, self.k, self.alpha)
-        return bound
+            return bound
+        return _forward_buffered(weights, self._checked(weights, workspace), self.alpha)
 
     def gradient(self, weights):
         """Return ``∇_W δ^(k)(W)`` with the same storage type as ``weights``."""
         return self.value_and_gradient(weights)[1]
 
-    def value_and_gradient(self, weights):
-        """Return ``(δ^(k)(W), ∇_W δ^(k)(W))`` sharing one forward pass."""
+    def value_and_gradient(self, weights, workspace: DenseBoundWorkspace | None = None):
+        """Return ``(δ^(k)(W), ∇_W δ^(k)(W))`` sharing one forward pass.
+
+        For dense ``weights`` the gradient is the ``cgrad`` buffer of the
+        workspace: a fresh array when ``workspace`` is None, otherwise the
+        caller's buffer, overwritten by the next call that uses it.
+        """
         weights = check_square_matrix(weights, "weights")
         if sp.issparse(weights):
             weights = weights.tocsr().copy()
@@ -305,12 +348,22 @@ class SpectralAcyclicityBound:
             grad_s = _backward_sparse(matrices, balances, mask.tocsr(), self.alpha)
             gradient = grad_s.multiply(weights) * 2.0
             return bound, gradient.tocsr()
-        dense = np.asarray(weights, dtype=float)
-        s0 = dense**2
-        bound, matrices, balances = _forward_dense(s0, self.k, self.alpha)
-        mask = (dense != 0).astype(float)
-        grad_s = _backward_dense(matrices, balances, mask, self.alpha)
-        return bound, 2.0 * grad_s * dense
+        workspace = self._checked(weights, workspace)
+        bound = _forward_buffered(weights, workspace, self.alpha)
+        return bound, _backward_buffered(weights, workspace, self.alpha)
+
+    def _checked(
+        self, weights: np.ndarray, workspace: DenseBoundWorkspace | None
+    ) -> DenseBoundWorkspace:
+        """The caller's workspace after a shape check, or fresh buffers."""
+        if workspace is None:
+            return DenseBoundWorkspace(weights.shape[0], self.k)
+        if workspace.k != self.k or workspace.d != weights.shape[0]:
+            raise ValidationError(
+                f"workspace is for d={workspace.d}, k={workspace.k}; "
+                f"got d={weights.shape[0]}, k={self.k}"
+            )
+        return workspace
 
     def __call__(self, weights) -> float:
         return self.value(weights)

@@ -37,20 +37,20 @@ from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence, runtime
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core import least
 from repro.core.least import LEAST, LEASTConfig
-from repro.core.least_fast import FastLEAST, FastLEASTConfig, resolve_jit
 from repro.core.least_sparse import SparseLEAST, SparseLEASTConfig
 from repro.core.notears import NOTEARS, NOTEARSConfig
 from repro.exceptions import ValidationError
 from repro.utils.logging import RunLog
 from repro.utils.random import RandomState
+from repro.utils.timer import Timer
 
 __all__ = [
     "SolveResult",
     "SolverBackend",
     "BackendSpec",
     "LEASTBackend",
-    "LEASTFastBackend",
     "SparseLEASTBackend",
     "NOTEARSBackend",
     "LegacyBackend",
@@ -90,8 +90,8 @@ class SolveResult:
         Iteration counts of the two loops (0 when the solver does not track
         inner steps).
     elapsed_seconds:
-        Solver wall-clock time as reported by the backend (0 when the solver
-        does not time itself).
+        Wall-clock time of the solver's native ``fit`` as timed by the
+        backend (0 for legacy solvers that do not report it).
     log:
         Per-outer-iteration trace (loss, constraint, ρ, η, ...).
     telemetry:
@@ -190,7 +190,12 @@ def _compose_hooks(
 
 
 class LEASTBackend:
-    """Dense LEAST behind the :class:`SolverBackend` protocol."""
+    """Dense LEAST behind the :class:`SolverBackend` protocol.
+
+    Registered as ``"least"`` and under the alias ``"least_fast"``.  The
+    kernel set the inner loop ran on (``"numba"`` or ``"numpy"``) is
+    surfaced as ``telemetry["jit_backend"]``.
+    """
 
     name = "least"
     sparse = False
@@ -210,12 +215,13 @@ class LEASTBackend:
         what this backend materializes anyway)."""
         if init_weights is not None and sp.issparse(init_weights):
             init_weights = np.asarray(init_weights.todense(), dtype=float)
-        result = LEAST(self.config).fit(
-            data,
-            seed=rng,
-            init_weights=init_weights,
-            on_outer_iteration=_compose_hooks(deadline_hooks),
-        )
+        with Timer() as timer:
+            result = LEAST(self.config).fit(
+                data,
+                seed=rng,
+                init_weights=init_weights,
+                on_outer_iteration=_compose_hooks(deadline_hooks),
+            )
         return SolveResult(
             solver=self.name,
             weights=result.weights,
@@ -223,54 +229,9 @@ class LEASTBackend:
             converged=bool(result.converged),
             n_outer_iterations=int(result.n_outer_iterations),
             n_inner_iterations=int(result.n_inner_iterations),
+            elapsed_seconds=timer.elapsed,
             log=result.log,
-        )
-
-
-class LEASTFastBackend:
-    """Fused-inner-loop dense LEAST behind the :class:`SolverBackend` protocol.
-
-    Same math and result contract as :class:`LEASTBackend` (the parity suite
-    pins them together on seeded problems), with the inner loop running on
-    :class:`~repro.core.least_fast.FastLEAST`'s preallocated-buffer kernels —
-    numba-JIT when the package is importable, buffered numpy otherwise.  The
-    kernel set actually used is surfaced as ``telemetry["jit_backend"]``.
-    """
-
-    name = "least_fast"
-    sparse = False
-
-    def __init__(self, config: FastLEASTConfig | None = None) -> None:
-        self.config = config or FastLEASTConfig()
-
-    def fit(
-        self,
-        data,
-        *,
-        init_weights: np.ndarray | sp.spmatrix | None = None,
-        deadline_hooks: Sequence[DeadlineHook] | None = None,
-        rng: RandomState = None,
-    ) -> SolveResult:
-        """Run fused LEAST; a CSR ``init_weights`` is densified (dense d × d
-        is this backend's native representation, like ``least``)."""
-        if init_weights is not None and sp.issparse(init_weights):
-            init_weights = np.asarray(init_weights.todense(), dtype=float)
-        solver = FastLEAST(self.config)
-        result = solver.fit(
-            data,
-            seed=rng,
-            init_weights=init_weights,
-            on_outer_iteration=_compose_hooks(deadline_hooks),
-        )
-        return SolveResult(
-            solver=self.name,
-            weights=result.weights,
-            constraint_value=float(result.constraint_value),
-            converged=bool(result.converged),
-            n_outer_iterations=int(result.n_outer_iterations),
-            n_inner_iterations=int(result.n_inner_iterations),
-            log=result.log,
-            telemetry={"jit_backend": solver.jit_backend},
+            telemetry={"jit_backend": least.KERNEL_SET},
         )
 
 
@@ -331,9 +292,10 @@ class NOTEARSBackend:
         """Run NOTEARS (no warm starts — ``init_weights`` is rejected)."""
         if init_weights is not None:
             raise ValidationError("the notears solver does not support init_weights")
-        result = NOTEARS(self.config).fit(
-            data, seed=rng, on_outer_iteration=_compose_hooks(deadline_hooks)
-        )
+        with Timer() as timer:
+            result = NOTEARS(self.config).fit(
+                data, seed=rng, on_outer_iteration=_compose_hooks(deadline_hooks)
+            )
         return SolveResult(
             solver=self.name,
             weights=result.weights,
@@ -341,6 +303,7 @@ class NOTEARSBackend:
             converged=bool(result.converged),
             n_outer_iterations=int(result.n_outer_iterations),
             n_inner_iterations=int(result.n_inner_iterations),
+            elapsed_seconds=timer.elapsed,
             log=result.log,
         )
 
@@ -443,16 +406,15 @@ class BackendSpec:
         return self.backend_class(config)
 
 
+_LEAST_SPEC = BackendSpec(
+    name="least", backend_class=LEASTBackend, config_class=LEASTConfig
+)
+
 #: The live registry.  Mutate through register/unregister, never directly.
 _BACKENDS: dict[str, BackendSpec] = {
-    "least": BackendSpec(
-        name="least", backend_class=LEASTBackend, config_class=LEASTConfig
-    ),
-    "least_fast": BackendSpec(
-        name="least_fast",
-        backend_class=LEASTFastBackend,
-        config_class=FastLEASTConfig,
-    ),
+    "least": _LEAST_SPEC,
+    # An alias, so manifests and jobs that name it keep resolving.
+    "least_fast": _LEAST_SPEC,
     "least_sparse": BackendSpec(
         name="least_sparse",
         backend_class=SparseLEASTBackend,

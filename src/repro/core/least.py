@@ -23,6 +23,17 @@ keeps ``W`` sparse and removes spurious cycle-inducing edges early.
 This dense implementation corresponds to the paper's LEAST-TF variant (their
 TensorFlow implementation); the CSR-based variant LEAST-SP lives in
 :mod:`repro.core.least_sparse`.
+
+The inner loop is fused over one preallocated workspace per solver: the batch
+residual and loss gradient are ``out=`` BLAS calls into reused buffers, the
+bound value and gradient come from one forward + reverse pass over a
+``(k+1, d, d)`` buffer, and the L1 subgradient, penalty combine, diagonal
+zeroing, Adam step and hard threshold run as one element-wise update.  The
+kernel set is picked once from the platform (:data:`KERNEL_SET`): numba-
+compiled loops when ``import numba`` succeeds, buffered numpy otherwise.  The
+numpy kernels reproduce the unfused textbook loop bit for bit (same RNG
+stream, same operation order); the numba kernels agree with it to
+floating-point tolerance.
 """
 
 from __future__ import annotations
@@ -31,10 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.acyclicity import SpectralAcyclicityBound
-from repro.core.losses import LeastSquaresLoss, sample_batch
+from repro.core.acyclicity import DenseBoundWorkspace, SpectralAcyclicityBound
 from repro.core.notears_constraint import notears_constraint
-from repro.core.optimizers import AdamOptimizer
 from repro.exceptions import ValidationError
 from repro.utils.logging import RunLog
 from repro.utils.random import RandomState, as_generator
@@ -46,7 +55,19 @@ from repro.utils.validation import (
     ensure_2d,
 )
 
-__all__ = ["LEASTConfig", "LEASTResult", "LEAST", "glorot_sparse_init"]
+__all__ = [
+    "LEASTConfig",
+    "LEASTResult",
+    "LEAST",
+    "glorot_sparse_init",
+    "numba_available",
+    "warmup_jit",
+]
+
+try:  # numba is an optional accelerator, never a hard dependency
+    import numba as _numba
+except ImportError:  # pragma: no cover - exercised by the no-numba CI leg
+    _numba = None
 
 #: Above this node count :func:`glorot_sparse_init` samples non-zero
 #: coordinates directly instead of drawing a dense d × d uniform mask, so the
@@ -108,6 +129,378 @@ def glorot_sparse_init(
         rows, cols = _sample_off_diagonal_indices(n_nodes, n_active, rng)
         weights[rows, cols] = rng.uniform(-limit, limit, size=n_active)
     return weights
+
+
+def numba_available() -> bool:
+    """True when the numba package is importable in this interpreter."""
+    return _numba is not None
+
+
+#: The inner loop's kernel set, picked once from the platform: ``"numba"``
+#: when the package is importable, ``"numpy"`` otherwise.
+KERNEL_SET = "numba" if numba_available() else "numpy"
+
+
+# ---------------------------------------------------------------------------
+# Kernels: plain-Python loop bodies, numba-compiled when available
+# ---------------------------------------------------------------------------
+#
+# The loop bodies follow the operation order of the numpy kernels (the
+# buffered bound of repro.core.acyclicity and _np_fused_update below), so the
+# two kernel sets agree to floating-point tolerance.
+
+
+def _py_pow_safe(value: float, exponent: float) -> float:
+    """Scalar ``value ** exponent`` with the ``0 ** 0 = 1`` convention."""
+    if exponent == 0.0:
+        return 1.0
+    return value**exponent
+
+
+def _py_div_safe(numerator: float, denominator: float) -> float:
+    """Scalar division with 0-denominators (and overflow) mapped to 0."""
+    if denominator == 0.0:
+        return 0.0
+    quotient = numerator / denominator
+    if not np.isfinite(quotient):
+        return 0.0
+    return quotient
+
+
+def _py_bound_kernel(weights, smats, rsums, csums, balances, grad, cgrad, k, alpha):
+    """Fused forward + reverse pass of the spectral acyclicity bound.
+
+    Writes ``∇_W δ^(k)(W)`` into ``cgrad`` and returns the bound value.
+    ``smats`` is a ``(k+1, d, d)`` workspace holding the balanced matrices,
+    ``rsums``/``csums``/``balances`` are ``(k+1, d)`` per-level vectors, and
+    ``grad`` is a ``(d, d)`` scratch for the backward accumulation.
+    """
+    d = weights.shape[0]
+    one_minus_alpha = 1.0 - alpha
+
+    for i in range(d):
+        for q in range(d):
+            smats[0, i, q] = weights[i, q] * weights[i, q]
+
+    # Forward: k rounds of the diagonal similarity transformation.
+    for j in range(k + 1):
+        for i in range(d):
+            row_total = 0.0
+            for q in range(d):
+                row_total += smats[j, i, q]
+            rsums[j, i] = row_total
+        for q in range(d):
+            col_total = 0.0
+            for i in range(d):
+                col_total += smats[j, i, q]
+            csums[j, q] = col_total
+        for i in range(d):
+            balances[j, i] = _py_pow_safe(rsums[j, i], alpha) * _py_pow_safe(
+                csums[j, i], one_minus_alpha
+            )
+        if j < k:
+            for i in range(d):
+                inverse_balance = _py_div_safe(1.0, balances[j, i])
+                for q in range(d):
+                    smats[j + 1, i, q] = (smats[j, i, q] * inverse_balance) * balances[
+                        j, q
+                    ]
+    bound = 0.0
+    for i in range(d):
+        bound += balances[k, i]
+
+    # Backward (Lemmas 3-5): accumulate on the support of W only.
+    x_vec = np.empty(d)
+    y_vec = np.empty(d)
+    z_vec = np.empty(d)
+    inv_b = np.empty(d)
+    inv_b2 = np.empty(d)
+
+    for i in range(d):
+        x_vec[i] = alpha * _py_pow_safe(
+            _py_div_safe(csums[k, i], rsums[k, i]), one_minus_alpha
+        )
+        y_vec[i] = one_minus_alpha * _py_pow_safe(
+            _py_div_safe(rsums[k, i], csums[k, i]), alpha
+        )
+    for i in range(d):
+        for q in range(d):
+            if weights[i, q] != 0.0:
+                grad[i, q] = x_vec[i] + y_vec[q]
+            else:
+                grad[i, q] = 0.0
+
+    for j in range(k, 0, -1):
+        level = j - 1
+        for i in range(d):
+            x_vec[i] = alpha * _py_pow_safe(
+                _py_div_safe(csums[level, i], rsums[level, i]), one_minus_alpha
+            )
+            y_vec[i] = one_minus_alpha * _py_pow_safe(
+                _py_div_safe(rsums[level, i], csums[level, i]), alpha
+            )
+            inv_b[i] = _py_div_safe(1.0, balances[level, i])
+            inv_b2[i] = _py_div_safe(1.0, balances[level, i] * balances[level, i])
+
+        # z[i] = -Σ_q G[i,q] S[i,q] b[q] / b[i]^2 + Σ_p G[p,i] S[p,i] / b[p]
+        for i in range(d):
+            accumulator = 0.0
+            for q in range(d):
+                accumulator += grad[i, q] * smats[level, i, q] * balances[level, q]
+            z_vec[i] = -accumulator * inv_b2[i]
+        for q in range(d):
+            accumulator = 0.0
+            for i in range(d):
+                accumulator += (inv_b[i] * grad[i, q]) * smats[level, i, q]
+            z_vec[q] += accumulator
+
+        for i in range(d):
+            for q in range(d):
+                if weights[i, q] != 0.0:
+                    grad[i, q] = (
+                        (inv_b[i] * grad[i, q]) * balances[level, q]
+                        + x_vec[i] * z_vec[i]
+                        + y_vec[q] * z_vec[q]
+                    )
+                else:
+                    grad[i, q] = 0.0
+
+    for i in range(d):
+        for q in range(d):
+            cgrad[i, q] = (2.0 * grad[i, q]) * weights[i, q]
+    return bound
+
+
+def _py_update_kernel(
+    weights,
+    grad,
+    cgrad,
+    penalty_coefficient,
+    l1_penalty,
+    first_moment,
+    second_moment,
+    bias1,
+    bias2,
+    learning_rate,
+    beta1,
+    beta2,
+    epsilon,
+    threshold,
+):
+    """Fused gradient combine + Adam step + thresholding, in place on ``weights``.
+
+    ``grad`` holds the smooth data-fit gradient ``(2/n) Xᵀ(XW - X)``; the L1
+    subgradient, the penalty-gradient term ``(ρδ + η)·∇δ``, the diagonal
+    zeroing, the Adam moment/bias arithmetic, and the in-loop hard threshold
+    are all applied in one pass.  Returns ``Σ|W|`` of the *pre-update* weights
+    (the L1 term of the objective, which the reference path evaluates before
+    stepping).
+    """
+    d = weights.shape[0]
+    one_minus_beta1 = 1.0 - beta1
+    one_minus_beta2 = 1.0 - beta2
+    abs_sum = 0.0
+    for i in range(d):
+        for q in range(d):
+            w = weights[i, q]
+            if w > 0.0:
+                abs_sum += w
+                sign = 1.0
+            elif w < 0.0:
+                abs_sum -= w
+                sign = -1.0
+            else:
+                sign = 0.0
+            if i == q:
+                g = 0.0
+            else:
+                g = (grad[i, q] + l1_penalty * sign) + penalty_coefficient * cgrad[
+                    i, q
+                ]
+            m = beta1 * first_moment[i, q] + one_minus_beta1 * g
+            v = beta2 * second_moment[i, q] + one_minus_beta2 * (g * g)
+            first_moment[i, q] = m
+            second_moment[i, q] = v
+            corrected_first = m / bias1
+            corrected_second = v / bias2
+            w = w - (learning_rate * corrected_first) / (
+                np.sqrt(corrected_second) + epsilon
+            )
+            if i == q:
+                w = 0.0
+            elif threshold > 0.0 and (-threshold < w < threshold):
+                w = 0.0
+            weights[i, q] = w
+    return abs_sum
+
+
+#: Lazily numba-compiled (bound, update) kernel pair, or None before first use.
+_COMPILED_KERNELS: tuple | None = None
+
+
+def _numba_kernels() -> tuple:
+    """Compile (once) and return the numba kernel pair."""
+    global _COMPILED_KERNELS, _py_pow_safe, _py_div_safe
+    if _COMPILED_KERNELS is None:
+        if _numba is None:  # pragma: no cover - callers check numba_available
+            raise ValidationError("numba is not available")
+        jit = _numba.njit(cache=True, nogil=True)
+        # Rebind the scalar helpers so the kernels resolve them to compiled
+        # dispatchers at their own compile time.
+        _py_pow_safe = jit(_py_pow_safe)
+        _py_div_safe = jit(_py_div_safe)
+        _COMPILED_KERNELS = (jit(_py_bound_kernel), jit(_py_update_kernel))
+    return _COMPILED_KERNELS
+
+
+def warmup_jit(d: int = 4) -> bool:
+    """Compile the numba kernels on a tiny problem; returns True if compiled.
+
+    Benchmarks call this before timing so kernel compilation is never charged
+    to a measured region.  A no-op (returning False) when numba is absent.
+    """
+    if not numba_available():
+        return False
+    bound_kernel, update_kernel = _numba_kernels()
+    k = 2
+    weights = np.tri(d, k=-1) * 0.1
+    workspace = _Workspace(d, k)
+    bound_kernel(
+        weights,
+        workspace.smats,
+        workspace.rsums,
+        workspace.csums,
+        workspace.balances,
+        workspace.grad_s,
+        workspace.cgrad,
+        k,
+        0.9,
+    )
+    update_kernel(
+        weights,
+        np.zeros((d, d)),
+        workspace.cgrad,
+        1.0,
+        0.1,
+        np.zeros((d, d)),
+        np.zeros((d, d)),
+        0.1,
+        0.001,
+        0.01,
+        0.9,
+        0.999,
+        1e-8,
+        0.0,
+    )
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Preallocated per-fit workspace
+# ---------------------------------------------------------------------------
+
+
+class _Workspace(DenseBoundWorkspace):
+    """All buffers one ``d``-node solve reuses across inner iterations: the
+    bound's buffers plus the loss gradient, the Adam moments and the batch."""
+
+    def __init__(self, d: int, k: int) -> None:
+        super().__init__(d, k)
+        self.loss_grad = np.empty((d, d))
+        self.first_moment = np.zeros((d, d))
+        self.second_moment = np.zeros((d, d))
+        self.scratch2 = np.empty((d, d))
+        self.residual: np.ndarray | None = None  # (B, d); allocated per batch size
+        self.residual_sq: np.ndarray | None = None
+        # (d, B) scaled batch transpose.  Kept F-contiguous (a transpose view
+        # of a C-ordered (B, d) base) to mirror the layout the textbook
+        # ``(2/n) * X.T`` expression produces — the BLAS accumulation order
+        # depends on it, and a C-ordered buffer here drifts by 1 ulp.
+        self.scaled_t: np.ndarray | None = None
+        self.batch: np.ndarray | None = None
+
+    def reset_moments(self) -> None:
+        """Zero the Adam state (a fresh optimizer per outer iteration)."""
+        self.first_moment.fill(0.0)
+        self.second_moment.fill(0.0)
+
+    def residual_for(self, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (n_rows, d) residual + squared-residual buffers (reused)."""
+        if self.residual is None or self.residual.shape[0] != n_rows:
+            self.residual = np.empty((n_rows, self.d))
+            self.residual_sq = np.empty((n_rows, self.d))
+            self.scaled_t = np.empty((n_rows, self.d)).T
+        return self.residual, self.residual_sq
+
+    def batch_for(self, n_rows: int) -> np.ndarray:
+        """The (n_rows, d) batch gather buffer for mini-batch iterations."""
+        if self.batch is None or self.batch.shape[0] != n_rows:
+            self.batch = np.empty((n_rows, self.d))
+        return self.batch
+
+
+# ---------------------------------------------------------------------------
+# Numpy kernels: the fused update with out= calls over the workspace
+# ---------------------------------------------------------------------------
+
+
+def _np_fused_update(
+    weights: np.ndarray,
+    workspace: _Workspace,
+    penalty_coefficient: float,
+    l1_penalty: float,
+    bias1: float,
+    bias2: float,
+    learning_rate: float,
+    beta1: float,
+    beta2: float,
+    epsilon: float,
+    threshold: float,
+) -> float:
+    """Buffered-numpy gradient combine + Adam step + threshold (in place).
+
+    Arithmetic follows :class:`repro.core.optimizers.AdamOptimizer` exactly;
+    only the storage strategy differs (moments and scratch live on the
+    workspace).  Returns the pre-update ``Σ|W|``.
+    """
+    grad = workspace.loss_grad  # already holds the smooth data-fit gradient
+    scratch = workspace.scratch
+    scratch2 = workspace.scratch2
+    m = workspace.first_moment
+    v = workspace.second_moment
+
+    np.abs(weights, out=scratch)
+    abs_sum = float(scratch.sum())
+
+    np.sign(weights, out=scratch)
+    scratch *= l1_penalty
+    grad += scratch
+    np.multiply(workspace.cgrad, penalty_coefficient, out=scratch)
+    grad += scratch
+    np.fill_diagonal(grad, 0.0)
+
+    m *= beta1
+    np.multiply(grad, 1.0 - beta1, out=scratch)
+    m += scratch
+    v *= beta2
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1.0 - beta2
+    v += scratch
+
+    np.divide(v, bias2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += epsilon
+    np.divide(m, bias1, out=scratch2)
+    scratch2 *= learning_rate
+    scratch2 /= scratch
+    weights -= scratch2
+
+    np.fill_diagonal(weights, 0.0)
+    if threshold > 0.0:
+        np.abs(weights, out=scratch)
+        np.less(scratch, threshold, out=workspace.mask)
+        weights[workspace.mask] = 0.0
+    return abs_sum
 
 
 @dataclass(frozen=True)
@@ -261,7 +654,7 @@ class LEAST:
     def __init__(self, config: LEASTConfig | None = None):
         self.config = config or LEASTConfig()
         self._bound = SpectralAcyclicityBound(k=self.config.k, alpha=self.config.alpha)
-        self._loss = LeastSquaresLoss(l1_penalty=self.config.l1_penalty)
+        self._workspace: _Workspace | None = None
 
     # -- public API -----------------------------------------------------------
 
@@ -373,6 +766,12 @@ class LEAST:
         density = max(density, minimum_density)
         return glorot_sparse_init(d, density, rng)
 
+    def _workspace_for(self, d: int) -> _Workspace:
+        """The preallocated buffer set for ``d``-node problems (reused)."""
+        if self._workspace is None or self._workspace.d != d:
+            self._workspace = _Workspace(d, self.config.k)
+        return self._workspace
+
     def _inner(
         self,
         data: np.ndarray,
@@ -383,36 +782,77 @@ class LEAST:
     ) -> tuple[np.ndarray, float, float, int]:
         """Inner procedure of Fig. 3: Adam on ℓ(W) with batching + thresholding."""
         config = self.config
-        optimizer = AdamOptimizer(learning_rate=config.learning_rate)
+        workspace = self._workspace_for(weights.shape[0])
+        workspace.reset_moments()
+        weights = np.array(weights, dtype=float, copy=True, order="C")
+        data = np.ascontiguousarray(data, dtype=float)
+        use_numba = KERNEL_SET == "numba"
+        if use_numba:
+            bound_kernel, update_kernel = _numba_kernels()
+
+        n_samples = data.shape[0]
+        batch_size = config.batch_size
+        full_batch = batch_size is None or batch_size <= 0 or batch_size >= n_samples
+        # AdamOptimizer's defaults.
+        beta1, beta2, epsilon = 0.9, 0.999, 1e-8
         previous_objective = np.inf
         objective = np.inf
-        constraint = self._bound.value(weights)
-
-        # Reused across iterations: |W| scratch and the threshold mask.  The
-        # gradient combine below also mutates the per-iteration gradient
-        # arrays in place instead of allocating `coef * cgrad` and the sum —
-        # floating-point add is commutative, so results are bit-identical.
-        abs_scratch = np.empty_like(weights)
-        threshold_mask = np.empty(weights.shape, dtype=bool)
 
         steps = 0
         for steps in range(1, config.max_inner_iterations + 1):
-            batch = sample_batch(data, config.batch_size, rng)
-            constraint, constraint_gradient = self._bound.value_and_gradient(weights)
-            loss_value, loss_gradient = self._loss.value_and_gradient(weights, batch)
+            if full_batch:
+                batch = data
+            else:
+                # Same RNG consumption as repro.core.losses.sample_batch.
+                indices = rng.choice(n_samples, size=batch_size, replace=False)
+                batch = workspace.batch_for(batch_size)
+                np.take(data, indices, axis=0, out=batch)
+            n_batch = max(batch.shape[0], 1)
 
+            if use_numba:
+                constraint = bound_kernel(
+                    weights,
+                    workspace.smats,
+                    workspace.rsums,
+                    workspace.csums,
+                    workspace.balances,
+                    workspace.grad_s,
+                    workspace.cgrad,
+                    config.k,
+                    config.alpha,
+                )
+            else:
+                # Writes the gradient into workspace.cgrad.
+                constraint, _ = self._bound.value_and_gradient(weights, workspace)
+
+            residual, residual_sq = workspace.residual_for(batch.shape[0])
+            np.matmul(batch, weights, out=residual)
+            residual -= batch
+            np.multiply(residual, residual, out=residual_sq)
+            smooth = float(residual_sq.sum()) / n_batch
+            # ``(2/n) * X.T @ R`` scales X.T *before* the matmul (operator
+            # precedence); matching that order through a contiguous buffer
+            # keeps the gradient bitwise equal to the textbook expression.
+            np.multiply(batch.T, 2.0 / n_batch, out=workspace.scaled_t)
+            np.matmul(workspace.scaled_t, residual, out=workspace.loss_grad)
+
+            penalty_coefficient = rho * constraint + eta
+            bias1 = 1.0 - beta1**steps
+            bias2 = 1.0 - beta2**steps
+            if use_numba:
+                abs_sum = update_kernel(
+                    weights, workspace.loss_grad, workspace.cgrad, penalty_coefficient,
+                    config.l1_penalty, workspace.first_moment, workspace.second_moment,
+                    bias1, bias2, config.learning_rate, beta1, beta2, epsilon, config.threshold,
+                )
+            else:
+                abs_sum = _np_fused_update(
+                    weights, workspace, penalty_coefficient, config.l1_penalty,
+                    bias1, bias2, config.learning_rate, beta1, beta2, epsilon, config.threshold,
+                )
+
+            loss_value = smooth + config.l1_penalty * abs_sum
             objective = loss_value + 0.5 * rho * constraint**2 + eta * constraint
-            constraint_gradient *= rho * constraint + eta
-            constraint_gradient += loss_gradient
-            gradient = constraint_gradient
-            np.fill_diagonal(gradient, 0.0)
-
-            weights = optimizer.update(weights, gradient)
-            np.fill_diagonal(weights, 0.0)
-            if config.threshold > 0:
-                np.abs(weights, out=abs_scratch)
-                np.less(abs_scratch, config.threshold, out=threshold_mask)
-                weights[threshold_mask] = 0.0
 
             if np.isfinite(previous_objective):
                 denominator = max(abs(previous_objective), 1e-12)
@@ -420,5 +860,5 @@ class LEAST:
                     break
             previous_objective = objective
 
-        constraint = self._bound.value(weights)
+        constraint = self._bound.value(weights, workspace)
         return weights, constraint, float(objective), steps

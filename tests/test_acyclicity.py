@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.acyclicity import (
+    DenseBoundWorkspace,
     SpectralAcyclicityBound,
     spectral_bound,
     spectral_bound_gradient,
@@ -90,6 +91,22 @@ class TestBoundValue:
 
 
 class TestBoundGradient:
+    def test_reused_workspace_matches_fresh_buffers(self, rng):
+        bound = SpectralAcyclicityBound(k=3, alpha=0.9)
+        workspace = DenseBoundWorkspace(6, 3)
+        for _ in range(3):
+            weights = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.4)
+            np.fill_diagonal(weights, 0.0)
+            value, gradient = bound.value_and_gradient(weights)
+            reused_value, reused_gradient = bound.value_and_gradient(weights, workspace)
+            assert reused_gradient is workspace.cgrad
+            assert reused_value == value == bound.value(weights, workspace)
+            assert np.array_equal(reused_gradient, gradient)
+        with pytest.raises(ValidationError):
+            bound.value(np.zeros((5, 5)), workspace)
+        with pytest.raises(ValidationError):
+            SpectralAcyclicityBound(k=2).value(np.zeros((6, 6)), workspace)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_matches_finite_differences_dense(self, rng, k, alpha):

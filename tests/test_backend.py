@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,14 @@ class TestProtocolAndFactory:
         assert not result.is_sparse
         assert result.n_edges == np.count_nonzero(result.weights)
         assert sp.issparse(result.sparse_weights())
+
+    @pytest.mark.parametrize("name", ["least", "notears"])
+    def test_dense_backends_time_their_fit(self, data, name):
+        backend = make_solver(name, **FAST)
+        began = time.perf_counter()
+        result = backend.fit(data, rng=0)
+        wall = time.perf_counter() - began
+        assert 0.0 < result.elapsed_seconds <= wall
 
     def test_sparse_fit_returns_csr_solve_result(self, data):
         backend = make_solver(

@@ -145,7 +145,8 @@ class TestMonitoringWorkflow:
         assert stats[1].warm_started  # CSR state seeded the next CSR window
 
     def test_pipeline_runs_windows_on_the_fast_backend(self):
-        """MonitoringPipeline forwards prefer_fast to the scheduler."""
+        """A pipeline naming the ``least_fast`` alias runs dense ``least``
+        windows (the fused loop) with warm starts between them."""
         simulator = BookingSimulator(seed=34)
         pipeline = MonitoringPipeline(
             simulator,
@@ -156,13 +157,13 @@ class TestMonitoringWorkflow:
                 l1_penalty=0.02,
                 tolerance=1e-3,
             ),
-            prefer_fast=True,
+            solver="least_fast",
         )
         reports = pipeline.run(3, seed=35)
         assert len(reports) == 3
         stats = pipeline.window_stats
-        assert stats and all(s.solver == "least_fast" for s in stats)
-        assert stats[1].warm_started  # dense state flows between fast windows
+        assert stats and all(s.solver == "least" for s in stats)
+        assert stats[1].warm_started  # dense state flows between the windows
 
 
 class TestRecommendationWorkflow:

@@ -4,6 +4,7 @@ These cover the mathematical invariants the library relies on:
 
 * the spectral bound is always an upper bound on the spectral radius and is
   invariant to how the matrix is stored;
+* the buffered dense bound equals the list-of-levels oracle bit for bit;
 * DAG generators always produce acyclic graphs;
 * structural metrics stay within their theoretical ranges;
 * thresholding-to-DAG always yields an acyclic graph;
@@ -18,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.acyclicity import spectral_bound, spectral_bound_with_gradient, spectral_radius
+from benchmarks.least_oracle import reference_value, reference_value_and_gradient
+from repro.core.acyclicity import (
+    SpectralAcyclicityBound,
+    spectral_bound,
+    spectral_bound_with_gradient,
+    spectral_radius,
+)
 from repro.core.notears_constraint import notears_constraint
 from repro.core.thresholding import threshold_to_dag
 from repro.graph.dag import is_dag, topological_sort
@@ -81,6 +88,44 @@ class TestSpectralBoundProperties:
         scaled = spectral_bound(scale * weights)
         assert scaled == np.float64(scaled)
         np.testing.assert_allclose(scaled, scale**2 * base, rtol=1e-7, atol=1e-9)
+
+
+@st.composite
+def sparse_matrices_with_empty_lines(draw, max_size: int = 9):
+    """Sparse random W with zero diagonal, some rows and columns zeroed."""
+    d = draw(st.integers(min_value=1, max_value=max_size))
+    values = draw(
+        arrays(
+            dtype=float,
+            shape=(d, d),
+            elements=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        )
+    )
+    keep = draw(arrays(dtype=bool, shape=(d, d), elements=st.booleans()))
+    weights = np.where(keep, values, 0.0)
+    np.fill_diagonal(weights, 0.0)
+    lines = st.lists(st.integers(min_value=0, max_value=d - 1), max_size=2)
+    weights[draw(lines), :] = 0.0
+    weights[:, draw(lines)] = 0.0
+    return weights
+
+
+class TestDenseBoundMatchesOracle:
+    """The one numpy dense bound is the list-of-levels bound, bit for bit."""
+
+    @given(
+        weights=sparse_matrices_with_empty_lines(),
+        k=st.integers(min_value=0, max_value=6),
+        alpha=st.sampled_from([0.0, 1.0, 0.5, 0.9]) | st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_gradient_equal_the_oracle(self, weights, k, alpha):
+        bound = SpectralAcyclicityBound(k=k, alpha=alpha)
+        value, gradient = bound.value_and_gradient(weights)
+        ref_value, ref_gradient = reference_value_and_gradient(weights, k, alpha)
+        assert value == ref_value
+        assert bound.value(weights) == reference_value(weights, k, alpha) == ref_value
+        np.testing.assert_array_equal(gradient, ref_gradient)
 
 
 class TestGraphGenerationProperties:
